@@ -5,8 +5,9 @@ use super::compiled::CompiledModel;
 use super::session::Session;
 use crate::montecarlo::{McConfig, McResult};
 use cn_data::Dataset;
-use cn_tensor::parallel::num_threads;
+use cn_tensor::parallel::{num_threads, parallel_workers};
 use cn_tensor::SeededRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The single Monte-Carlo entry point: compiles `cfg.samples` deployment
@@ -15,7 +16,9 @@ use std::sync::Arc;
 ///
 /// Sample `i` draws from the independent RNG stream
 /// `SeededRng::new(cfg.seed).fork(i)`, so results are deterministic in
-/// `cfg.seed` and independent of the worker thread count. Each worker
+/// `cfg.seed` and independent of the worker thread count (pinned by the
+/// `thread_invariance` test, which runs it at several `CN_THREADS`).
+/// Instances run in parallel; kernels inside one run inline. Each worker
 /// keeps one [`Session`] and rebinds it per instance, reusing the batch
 /// scratch across the whole run. This reproduces the results of the
 /// removed legacy `mc_accuracy` / `mc_accuracy_mode` /
@@ -48,47 +51,36 @@ pub fn monte_carlo(
 ) -> McResult {
     assert!(cfg.samples > 0, "need at least one Monte-Carlo sample");
     let nominal = Arc::new(model.clone());
-    let workers = num_threads().min(cfg.samples);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers write disjoint sample indices, so results are gathered
-    // lock-free: each worker accumulates (index, accuracy) pairs locally
-    // and the driver scatters them after the joins.
-    let mut results = vec![0.0f32; cfg.samples];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let nominal = &nominal;
-                scope.spawn(move || {
-                    let mut session: Option<Session> = None;
-                    let mut local: Vec<(usize, f32)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= cfg.samples {
-                            break;
-                        }
-                        let mut rng = SeededRng::new(cfg.seed).fork(i as u64);
-                        let compiled =
-                            CompiledModel::compile_shared(nominal, backend, &mut rng).shared();
-                        let session = match &mut session {
-                            Some(s) => {
-                                s.rebind(compiled);
-                                s
-                            }
-                            none => none.insert(Session::new(compiled)),
-                        };
-                        local.push((i, session.evaluate(data, cfg.batch_size)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, accuracy) in handle.join().expect("Monte-Carlo worker panicked") {
-                results[i] = accuracy;
+    let next = AtomicUsize::new(0);
+    // Workers are marked (see `cn_tensor::parallel`), so the kernels of
+    // each evaluation run inline instead of fanning out a second level of
+    // threads. They claim disjoint sample indices and hand back
+    // (index, accuracy) pairs, scattered after the join.
+    let locals = parallel_workers(num_threads().min(cfg.samples), || {
+        let mut session: Option<Session> = None;
+        let mut local: Vec<(usize, f32)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= cfg.samples {
+                break;
             }
+            let mut rng = SeededRng::new(cfg.seed).fork(i as u64);
+            let compiled = CompiledModel::compile_shared(&nominal, backend, &mut rng).shared();
+            let session = match &mut session {
+                Some(s) => {
+                    s.rebind(compiled);
+                    s
+                }
+                none => none.insert(Session::new(compiled)),
+            };
+            local.push((i, session.evaluate(data, cfg.batch_size)));
         }
+        local
     });
+    let mut results = vec![0.0f32; cfg.samples];
+    for (i, accuracy) in locals.into_iter().flatten() {
+        results[i] = accuracy;
+    }
     McResult::from_accuracies(results)
 }
 

@@ -5,9 +5,11 @@
 //! This file is a dedicated test binary so it can install
 //! [`CountingHeap`] as the process global allocator (a library must
 //! never do that). It holds exactly one `#[test]` because the contract
-//! needs `CN_THREADS=1` set before the first tensor op: the
-//! multi-threaded GEMM path hands work to `thread::scope` workers, which
-//! allocates by design and is gated out of the single-thread contract.
+//! needs `CN_THREADS=1` set before the first tensor op. With more
+//! threads, a batch of 32 is split over scoped worker threads that are
+//! spawned per kernel call, and every spawn allocates; that is outside
+//! this contract. Batch 1 at `CN_THREADS=2` runs inline and is pinned
+//! separately by `zero_alloc_infer_threads.rs`.
 
 use cn_analog::engine::{EngineBuilder, Session};
 use cn_nn::zoo::{lenet5, LeNetConfig};
@@ -36,8 +38,8 @@ fn steady_state_infer_batch_allocates_nothing() {
     let x32 = rng.normal_tensor(&[32, 1, 28, 28], 0.0, 1.0);
 
     // Warmup: the first batch at each size may grow thread-local kernel
-    // scratch (GEMM A-panels) and the prediction staging — explicitly
-    // outside the zero-alloc contract.
+    // scratch (GEMM A-panels, convolution B-panels) and the prediction
+    // staging — explicitly outside the zero-alloc contract.
     for _ in 0..2 {
         session.infer_batch(&x1);
         session.infer_batch(&x32);

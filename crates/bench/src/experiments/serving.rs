@@ -20,7 +20,9 @@ use cn_nn::layers::{Dense, Flatten, Relu};
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
 use cn_nn::Sequential;
-use cn_serve::{Fleet, RoutePolicy, ServeConfig, ServeError, ServerStats, Ticket};
+use cn_serve::{
+    Fleet, HistogramSnapshot, RoutePolicy, ServeConfig, ServeError, ServerStats, Ticket,
+};
 use cn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -162,21 +164,28 @@ fn throughput_model(data: &TrainTest, seed: u64) -> Sequential {
     model
 }
 
-/// Requests-weighted aggregate of per-instance stats:
-/// (p50 ms, p95 ms, p99 ms, batch fill).
+/// Fleet aggregate of per-instance stats: (p50 ms, p95 ms, p99 ms,
+/// batch fill). Percentiles come from the merged latency histograms,
+/// batch fill is the requests-weighted mean.
 fn aggregate(stats: &[ServerStats]) -> (f64, f64, f64, f64) {
     let total: f64 = stats.iter().map(|s| s.requests as f64).sum();
     if total == 0.0 {
         return (0.0, 0.0, 0.0, 0.0);
     }
-    let weighted = |f: &dyn Fn(&ServerStats) -> f64| -> f64 {
-        stats.iter().map(|s| s.requests as f64 * f(s)).sum::<f64>() / total
-    };
+    let mut fleet = HistogramSnapshot::default();
+    for s in stats {
+        fleet.merge(&s.latency);
+    }
+    let fill = stats
+        .iter()
+        .map(|s| s.requests as f64 * s.batch_fill)
+        .sum::<f64>()
+        / total;
     (
-        weighted(&|s| s.p50_us) / 1000.0,
-        weighted(&|s| s.p95_us) / 1000.0,
-        weighted(&|s| s.p99_us) / 1000.0,
-        weighted(&|s| s.batch_fill),
+        fleet.quantile(0.50) / 1000.0,
+        fleet.quantile(0.95) / 1000.0,
+        fleet.quantile(0.99) / 1000.0,
+        fill,
     )
 }
 

@@ -35,7 +35,7 @@
 use cn_analog::drift::ConductanceDrift;
 use cn_analog::engine::{Backend, CompiledModel, DriftBackend};
 use cn_nn::Sequential;
-use cn_serve::{Reply, ServeConfig, ServeError, Server, ServerStats, Ticket};
+use cn_serve::{HistogramSnapshot, Reply, ServeConfig, ServeError, Server, ServerStats, Ticket};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -423,27 +423,26 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
-    /// Requests-weighted aggregate over the shards:
+    /// Fleet totals over the shards:
     /// `(total requests, total throughput rps, p50 µs, p95 µs, p99 µs)`.
+    ///
+    /// The percentiles are read from the shards' latency histograms
+    /// merged into one, i.e. over every request the fleet answered.
+    /// (Averaging per-shard percentiles is not a percentile: one shard's
+    /// slow tail would be diluted by the fast ones.)
     pub fn aggregate(&self) -> (u64, f64, f64, f64, f64) {
         let total: u64 = self.shards.iter().map(|s| s.requests).sum();
         let throughput: f64 = self.shards.iter().map(|s| s.throughput_rps).sum();
-        if total == 0 {
-            return (0, throughput, 0.0, 0.0, 0.0);
+        let mut fleet = HistogramSnapshot::default();
+        for shard in &self.shards {
+            fleet.merge(&shard.latency);
         }
-        let weighted = |f: &dyn Fn(&ServerStats) -> f64| -> f64 {
-            self.shards
-                .iter()
-                .map(|s| s.requests as f64 * f(s))
-                .sum::<f64>()
-                / total as f64
-        };
         (
             total,
             throughput,
-            weighted(&|s| s.p50_us),
-            weighted(&|s| s.p95_us),
-            weighted(&|s| s.p99_us),
+            fleet.quantile(0.50),
+            fleet.quantile(0.95),
+            fleet.quantile(0.99),
         )
     }
 }
@@ -580,6 +579,51 @@ mod tests {
         assert_eq!(r.generation(), 1);
         let after: Vec<f32> = r.shard(1).classify(&x).unwrap().logits;
         assert_ne!(before, after);
+    }
+
+    /// Regression: fleet percentiles used to be a request-weighted
+    /// average of shard percentiles, so one shard's slow tail (here 10 %
+    /// of its requests, 2.5 % of the fleet's) read as a quarter of its
+    /// height in the fleet p99. Merged histograms put it at full height.
+    #[test]
+    fn heavy_tailed_shard_shows_in_fleet_p99() {
+        use cn_serve::LatencyHistogram;
+        let shard = |tail: u64| {
+            let h = LatencyHistogram::new();
+            for i in 0..1000 {
+                h.record(if i < tail { 100_000 } else { 500 });
+            }
+            let latency = h.snapshot();
+            ServerStats {
+                requests: 1000,
+                batches: 1000,
+                batch_fill: 1.0,
+                throughput_rps: 100.0,
+                p50_us: latency.quantile(0.50),
+                p95_us: latency.quantile(0.95),
+                p99_us: latency.quantile(0.99),
+                worker_panics: 0,
+                latency,
+            }
+        };
+        let stats = RouterStats {
+            state: RouterState::Accepting,
+            generation: 0,
+            routed: 4000,
+            shed: 0,
+            inflight: vec![0; 4],
+            shards: vec![shard(0), shard(0), shard(0), shard(100)],
+        };
+        let tail = stats.shards[3].p99_us;
+        assert!(tail > 90_000.0, "the slow shard's own p99 is its tail");
+        let (total, throughput, p50, p95, p99) = stats.aggregate();
+        assert_eq!((total, throughput), (4000, 400.0));
+        assert_eq!(p50, stats.shards[0].p50_us);
+        assert_eq!(
+            p95, stats.shards[0].p50_us,
+            "the tail is 2.5 % of the fleet"
+        );
+        assert_eq!(p99, tail);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! 2-D convolution via im2col lowering, with analog weight-noise support.
+//! 2-D convolution — a direct NCHW forward kernel, im2col lowering for
+//! the backward pass — with analog weight-noise support.
 
 use crate::init::{bias_uniform, kaiming_uniform};
 use crate::layer::Layer;
 use crate::param::Param;
 use cn_tensor::ops::{
-    col2im, gemm_into, im2col, im2col_into, nchw_to_rows, rows_to_nchw, rows_to_nchw_into,
-    Activation, Conv2dGeometry, Epilogue, Layout, PackedB,
+    col2im, conv2d_forward_into, im2col, nchw_to_rows, Activation, Conv2dGeometry, PackedA,
 };
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
@@ -17,8 +17,10 @@ use std::sync::Arc;
 /// the paper's eq. 9–11 constrains). Weights are analog-mapped and accept a
 /// multiplicative noise mask shaped like the kernel.
 ///
-/// To bound training memory the backward pass re-runs `im2col` on the
-/// cached input instead of caching the (much larger) patch matrix.
+/// The forward pass runs [`conv2d_forward_into`], which gathers patches
+/// straight into GEMM panels and never builds the patch matrix. To bound
+/// training memory the backward pass re-runs `im2col` on the cached input
+/// instead of caching the (much larger) patch matrix.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
@@ -29,7 +31,7 @@ pub struct Conv2d {
     noise: Option<Tensor>,
     cache_x: Option<Tensor>,
     cache_geo: Option<Conv2dGeometry>,
-    packed: Option<Arc<PackedB>>,
+    packed: Option<Arc<PackedA>>,
 }
 
 impl Conv2d {
@@ -126,27 +128,24 @@ impl Conv2d {
     }
 
     /// The shared forward computation (used by `forward`, `infer` and the
-    /// fused ReLU inference path): im2col patches through the fused GEMM
-    /// epilogue (`cols·Wᵀ_eff + b`, optional ReLU), reusing pre-packed
-    /// weight panels when present. Fusing the activation at the patch-row
-    /// stage is bitwise identical to applying it after `rows_to_nchw` —
-    /// both are the same elementwise op, and the reshape only moves bits.
-    fn apply_act(&self, x: &Tensor, geo: &Conv2dGeometry, act: Activation) -> Tensor {
-        let cols = im2col(x, geo);
-        let y_rows = super::matrix_infer_act(
-            &cols,
-            self.packed.as_deref(),
-            || self.effective_weight_matrix(),
-            &self.b.value,
-            act,
-        );
-        rows_to_nchw(
-            &y_rows,
-            x.dims()[0],
-            self.out_channels(),
-            geo.out_h(),
-            geo.out_w(),
-        )
+    /// fused ReLU inference path): `act(W_eff ⊛ x + b)` through the direct
+    /// convolution kernel, over the pre-packed weight panels when present
+    /// and over panels packed for this call otherwise. The fused ReLU is
+    /// the same elementwise op as a separate `Relu` layer, so both are
+    /// bitwise identical.
+    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
+        self.check_input(x);
+        let geo = self.geometry(x);
+        let bias = self.b.value.data();
+        let mut y = Tensor::zeros(&[0]);
+        match self.packed.as_deref() {
+            Some(w) => conv2d_forward_into(&mut y, x, &geo, w, bias, act),
+            None => {
+                let w = PackedA::from_tensor(&self.effective_weight_matrix());
+                conv2d_forward_into(&mut y, x, &geo, &w, bias, act);
+            }
+        }
+        y
     }
 
     fn check_input(&self, x: &Tensor) {
@@ -168,22 +167,18 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.check_input(x);
-        let geo = self.geometry(x);
-        let y = self.apply_act(x, &geo, Activation::Identity);
+        let y = self.apply_act(x, Activation::Identity);
         self.cache_x = Some(x.clone());
-        self.cache_geo = Some(geo);
+        self.cache_geo = Some(self.geometry(x));
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        self.apply_act(x, &self.geometry(x), Activation::Identity)
+        self.apply_act(x, Activation::Identity)
     }
 
     fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        self.check_input(x);
-        Some(self.apply_act(x, &self.geometry(x), Activation::Relu))
+        Some(self.apply_act(x, Activation::Relu))
     }
 
     fn infer_into(
@@ -191,62 +186,16 @@ impl Layer for Conv2d {
         x: &Tensor,
         act: Activation,
         out: &mut Tensor,
-        arena: &cn_tensor::alloc::Arena,
+        _arena: &cn_tensor::alloc::Arena,
     ) -> bool {
-        // Only deployed (pre-packed) convolutions have an allocation-free
-        // path; unpacked layers fall back to the allocating `infer`.
-        let Some(packed) = self.packed.as_deref() else {
+        // Only deployed (pre-packed) convolutions are allocation-free;
+        // unpacked layers fall back to the allocating `infer`.
+        let Some(w) = self.packed.as_deref() else {
             return false;
         };
         self.check_input(x);
-        let geo = self.geometry(x);
-        let batch = x.dims()[0];
-        let rows = batch * geo.patches_per_sample();
-        let out_c = self.out_channels();
-
-        let mut cols = arena.alloc_f32(rows * geo.patch_len());
-        im2col_into(x, &geo, &mut cols);
-        let mut y_rows = arena.alloc_f32(rows * out_c);
-        let epilogue = match act {
-            Activation::Identity => Epilogue::Bias(self.b.value.data()),
-            Activation::Relu => Epilogue::BiasRelu(self.b.value.data()),
-        };
-        gemm_into(
-            &mut y_rows,
-            rows,
-            out_c,
-            &cols,
-            Layout::RowMajor,
-            packed,
-            epilogue,
-        );
-        out.resize_in_place(&[batch, out_c, geo.out_h(), geo.out_w()]);
-        rows_to_nchw_into(
-            &y_rows,
-            batch,
-            out_c,
-            geo.out_h(),
-            geo.out_w(),
-            out.data_mut(),
-        );
+        conv2d_forward_into(out, x, &self.geometry(x), w, self.b.value.data(), act);
         true
-    }
-
-    fn infer_scratch_bytes(&self, in_dims: &[usize]) -> usize {
-        use cn_tensor::alloc::Arena;
-        assert_eq!(in_dims.len(), 4, "Conv2d expects NCHW input dims");
-        let geo = Conv2dGeometry {
-            in_c: self.in_channels(),
-            in_h: in_dims[2],
-            in_w: in_dims[3],
-            kh: self.kernel(),
-            kw: self.kernel(),
-            stride: self.stride,
-            pad: self.pad,
-        };
-        let rows = in_dims[0] * geo.patches_per_sample();
-        Arena::f32_slot_bytes(rows * geo.patch_len())
-            + Arena::f32_slot_bytes(rows * self.out_channels())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -308,12 +257,10 @@ impl Layer for Conv2d {
     }
 
     fn pack_weights(&mut self) {
-        // The unfolded [out_c, in_c·k·k] kernel plays `Wᵀ` against the
-        // im2col patch rows, i.e. transposed storage of the logical
-        // [in_c·k·k, out_c] right operand.
-        self.packed = Some(Arc::new(PackedB::from_tensor(
+        // The unfolded [out_c, in_c·k·k] kernel is the left operand of
+        // the per-sample product `W · colsᵀ`.
+        self.packed = Some(Arc::new(PackedA::from_tensor(
             &self.effective_weight_matrix(),
-            Layout::Transposed,
         )));
     }
 

@@ -597,12 +597,11 @@ mod tests {
         assert!(!plan.covers(&[8, 6, 6]));
         // Peak activation is the conv output [8, 4, 6, 6].
         assert_eq!(plan.peak_activation_elems(), 8 * 4 * 6 * 6);
-        // Arena holds the conv's im2col patches and GEMM rows; dense and
-        // relu layers add nothing (the packed dense writes straight into
-        // the ping-pong tensor).
+        // No layer needs arena temporaries: the packed conv and dense
+        // kernels write straight into the ping-pong tensors.
         let l = m.layer(0);
         assert_eq!(plan.arena_bytes(), l.infer_scratch_bytes(&[8, 1, 6, 6]));
-        assert!(plan.arena_bytes() > 0);
+        assert_eq!(plan.arena_bytes(), 0);
     }
 
     #[test]

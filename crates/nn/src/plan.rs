@@ -2,8 +2,8 @@
 //!
 //! A compiled deployment knows its input shape and maximum batch size up
 //! front, so every intermediate buffer the inference pass needs — layer
-//! activations, im2col patch matrices, GEMM row outputs — can be sized
-//! once and reused forever. [`ShapePlan`] records those sizes (computed by
+//! activations and any per-layer temporaries — can be sized once and
+//! reused forever. [`ShapePlan`] records those sizes (computed by
 //! a dry run over zeros at the maximum batch); [`InferScratch`] owns the
 //! memory the plan calls for: two ping-pong activation tensors and a bump
 //! [`Arena`] for per-layer temporaries. [`crate::Sequential::infer_with`]

@@ -89,12 +89,32 @@ impl Default for LatencyHistogram {
 }
 
 /// Immutable bucket counts read from a [`LatencyHistogram`].
-#[derive(Debug, Clone)]
+///
+/// Snapshots of different histograms [`merge`](HistogramSnapshot::merge)
+/// into the histogram of all their observations, which is how fleet
+/// percentiles are computed: percentiles themselves do not average.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     counts: Vec<u64>,
 }
 
+impl Default for HistogramSnapshot {
+    /// The snapshot of an empty histogram.
+    fn default() -> Self {
+        HistogramSnapshot {
+            counts: vec![0; BUCKETS],
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Adds `other`'s observations to this snapshot, bucket by bucket.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+    }
+
     /// Total number of recorded observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -176,6 +196,7 @@ impl StatsCollector {
             p95_us: hist.quantile(0.95),
             p99_us: hist.quantile(0.99),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            latency: hist,
         }
     }
 }
@@ -202,6 +223,9 @@ pub struct ServerStats {
     /// instance; non-zero means a bug worth chasing, but the worker
     /// pool itself survives.
     pub worker_panics: u64,
+    /// The latency histogram the percentiles above were read from. Merge
+    /// it with other instances' to get fleet percentiles.
+    pub latency: HistogramSnapshot,
 }
 
 #[cfg(test)]
@@ -310,6 +334,26 @@ mod tests {
             assert!(mid > prev, "bucket {i}: midpoint {mid} <= {prev}");
             prev = mid;
         }
+    }
+
+    #[test]
+    fn merged_snapshots_hold_every_observation() {
+        let (a, b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        let both = LatencyHistogram::new();
+        for v in [3u64, 500, 500, 70_000] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [9u64, 1 << 20] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = HistogramSnapshot::default();
+        merged.merge(&a.snapshot());
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot());
+        assert_eq!(merged.count(), 6);
+        assert_eq!(HistogramSnapshot::default().quantile(0.99), 0.0);
     }
 
     /// The log-linear p99 path through a wide bucket: a 1 % tail at

@@ -4,8 +4,10 @@
 //! up in: [`Tensor::matmul`](crate::Tensor::matmul) /
 //! [`Tensor::t_matmul`](crate::Tensor::t_matmul) /
 //! [`Tensor::matmul_t`](crate::Tensor::matmul_t) are thin entry points
-//! over [`gemm_into`], and the inference layers of `cn-nn` call
-//! [`gemm_bias_act`] with pre-packed weight panels.
+//! over [`gemm_into`], the dense layers of `cn-nn` call
+//! [`gemm_bias_act`] with pre-packed weight panels, and `Conv2d`'s
+//! forward pass calls [`conv2d_forward_into`], which feeds the same
+//! micro-kernel from patches gathered straight out of the NCHW input.
 //!
 //! # Structure
 //!
@@ -32,11 +34,13 @@
 //! implementation — NaN positions always coincide, but their payloads
 //! may differ between code paths.)
 
+mod conv;
 mod kernel;
 mod pack;
 
+pub use conv::conv2d_forward_into;
 pub use kernel::Epilogue;
-pub use pack::{Layout, PackedB};
+pub use pack::{Layout, PackedA, PackedB};
 
 use crate::parallel::{num_threads, parallel_chunks_mut};
 use crate::tensor::Tensor;
@@ -167,10 +171,11 @@ pub fn gemm_into(
 }
 
 thread_local! {
-    /// Recycled A-panel packing scratch. One buffer per thread: the
-    /// inline (single-threaded) driver and each persistent worker
-    /// thread pay one allocation at their high-water size, then every
-    /// later GEMM packs into warm memory.
+    /// Recycled A-panel packing scratch, one buffer per thread. A thread
+    /// that runs the driver inline pays one allocation at its high-water
+    /// size, then every later GEMM on it packs into warm memory. Worker
+    /// threads are scoped and spawned per call, so each spawn starts
+    /// cold and allocates again (on top of the spawn's own allocations).
     static A_PANELS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 

@@ -9,7 +9,8 @@
 //!   micro-kernel reads one contiguous `NR`-float row.
 //! - **A panels** ([`pack_a_block`]): a block of output rows is split into
 //!   row panels of [`MR`](super::MR) rows; panel `ip` stores
-//!   `A[row0 + ip·MR + ir][kk]` at offset `kk·MR + ir`.
+//!   `A[row0 + ip·MR + ir][kk]` at offset `kk·MR + ir`. [`PackedA`] holds
+//!   a whole left operand packed this way (convolution weights).
 //!
 //! Ragged edges are zero-padded to the full panel width. Padding never
 //! reaches the output: padded accumulator lanes multiply packed zeros on
@@ -130,6 +131,53 @@ impl PackedB {
     }
 }
 
+/// The left-hand operand of a GEMM packed into `MR`-row panels — the
+/// convolution weights of [`conv2d_forward_into`](super::conv2d_forward_into),
+/// packed once per deployment like [`PackedB`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedA {
+    data: Vec<f32>,
+    m: usize,
+    k: usize,
+}
+
+impl PackedA {
+    /// Packs a row-major `[m, k]` operand (e.g. the unfolded
+    /// `[out_c, in_c·kh·kw]` kernel of a convolution), zero-padding the
+    /// ragged tail panel.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a` is rank-2.
+    pub fn from_tensor(a: &Tensor) -> PackedA {
+        assert_eq!(a.rank(), 2, "PackedA::from_tensor expects a rank-2 tensor");
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let mut data = vec![0.0f32; m.div_ceil(MR) * MR * k];
+        pack_a_block(a.data(), m, k, Layout::RowMajor, 0, m, &mut data);
+        PackedA { data, m, k }
+    }
+
+    /// Logical row count `m`.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Inner (reduction) dimension `k`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of `MR`-row panels (zero when `m == 0`).
+    pub fn panels(&self) -> usize {
+        self.m.div_ceil(MR)
+    }
+
+    /// The packed `k × MR` panel covering rows `[p·MR, min(m, (p+1)·MR))`.
+    pub(super) fn panel(&self, p: usize) -> &[f32] {
+        &self.data[p * self.k * MR..(p + 1) * self.k * MR]
+    }
+}
+
 /// Packs output rows `[row0, row0 + rows)` of the logical `[m, k]` left
 /// operand into `MR`-row panels, zero-padding the ragged tail panel.
 ///
@@ -214,6 +262,16 @@ mod tests {
         assert_eq!(&buf[0..3], &[0.0, 2.0, 4.0]);
         assert_eq!(&buf[MR..MR + 3], &[1.0, 3.0, 5.0]);
         assert!(buf[3..MR].iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn packed_a_panels_match_the_block_packer() {
+        let a = Tensor::arange(33).into_reshaped(&[11, 3]);
+        let p = PackedA::from_tensor(&a);
+        assert_eq!((p.m(), p.k(), p.panels()), (11, 3, 2));
+        let mut buf = vec![0.0; 2 * MR * 3];
+        pack_a_block(a.data(), 11, 3, Layout::RowMajor, 0, 11, &mut buf);
+        assert_eq!([p.panel(0), p.panel(1)].concat(), buf);
     }
 
     #[test]

@@ -3,16 +3,38 @@
 //! The workspace runs on small CPU boxes; a full work-stealing pool is not
 //! warranted. [`parallel_chunks_mut`] splits a mutable slice into per-thread
 //! chunks processed with `std::thread::scope`, which is enough to keep
-//! matmul, im2col and Monte-Carlo evaluation busy on all cores.
+//! matmul, convolution and Monte-Carlo evaluation busy on all cores.
+//!
+//! # No nested fan-out
+//!
+//! Every thread these helpers spawn is marked as a parallel worker, and
+//! on a marked thread [`num_threads()`] reads 1. A kernel called from
+//! inside a worker (a GEMM inside a Monte-Carlo instance, say) therefore
+//! runs inline instead of spawning threads of its own: the outer level
+//! already keeps every core busy, and a second level would only
+//! oversubscribe them. Kernel results never depend on the thread count,
+//! so the mark changes speed, not numbers.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Returns the number of worker threads to use.
+thread_local! {
+    /// Set on every thread spawned by this module's helpers.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Returns the number of worker threads to use: 1 on a thread spawned by
+/// this module's helpers (see the module docs), the configured count
+/// everywhere else.
 ///
-/// Defaults to `std::thread::available_parallelism()`, overridable with the
+/// The configured count defaults to
+/// `std::thread::available_parallelism()`, overridable with the
 /// `CN_THREADS` environment variable (useful to force determinism-friendly
 /// single-threaded runs in tests).
 pub fn num_threads() -> usize {
+    if IN_WORKER.get() {
+        return 1;
+    }
     static CACHED: AtomicUsize = AtomicUsize::new(0);
     let cached = CACHED.load(Ordering::Relaxed);
     if cached != 0 {
@@ -29,6 +51,18 @@ pub fn num_threads() -> usize {
         });
     CACHED.store(n, Ordering::Relaxed);
     n
+}
+
+/// Runs `f` on a fresh worker thread of `scope`, marked so nested
+/// kernels stay inline.
+fn spawn_worker<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    scope.spawn(move || {
+        IN_WORKER.set(true);
+        f()
+    })
 }
 
 /// Processes disjoint chunks of `data` in parallel.
@@ -62,7 +96,7 @@ pub fn parallel_chunks_mut<T: Send>(
         for _ in 0..workers {
             let chunks = &chunks;
             let f = &f;
-            scope.spawn(move || loop {
+            spawn_worker(scope, move || loop {
                 // Claim the next chunk under the lock, release it before
                 // running `f` so workers overlap on the actual work.
                 let next = chunks
@@ -96,9 +130,33 @@ pub fn parallel_ranges(n: usize, f: impl Fn(usize, usize) + Sync) {
                 break;
             }
             let f = &f;
-            scope.spawn(move || f(start, end));
+            spawn_worker(scope, move || f(start, end));
         }
     });
+}
+
+/// Runs `f` once on each of `workers` marked worker threads and returns
+/// the results in spawn order. Use when workers pull their own work
+/// (e.g. from a shared atomic counter) and hand back per-worker results.
+/// With `workers <= 1`, `f` runs once inline on the calling thread,
+/// unmarked, so its kernels may still use every core.
+///
+/// A panic in any worker is re-raised on the calling thread after all
+/// workers have finished.
+pub fn parallel_workers<T: Send>(workers: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+    if workers <= 1 {
+        return vec![f()];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| spawn_worker(scope, &f)).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -160,6 +218,59 @@ mod tests {
     fn zero_chunk_len_panics() {
         let mut v = [0u8; 4];
         parallel_chunks_mut(&mut v, 0, |_, _| {});
+    }
+
+    #[test]
+    fn spawned_workers_read_one_thread() {
+        assert_eq!(parallel_workers(3, num_threads), vec![1, 1, 1]);
+        // A single worker runs inline and unmarked.
+        assert_eq!(parallel_workers(1, num_threads), vec![num_threads()]);
+    }
+
+    #[test]
+    fn kernels_nested_in_workers_run_inline() {
+        let outer = std::thread::current().id();
+        let nested = parallel_workers(2, || {
+            let me = std::thread::current().id();
+            let mut v = vec![0u32; 64];
+            let seen = std::sync::Mutex::new(Vec::new());
+            parallel_chunks_mut(&mut v, 1, |_, _| {
+                seen.lock().unwrap().push(std::thread::current().id())
+            });
+            parallel_ranges(64, |_, _| {
+                seen.lock().unwrap().push(std::thread::current().id())
+            });
+            let seen = seen.into_inner().unwrap();
+            (me, seen.iter().all(|&id| id == me))
+        });
+        for (id, inline) in nested {
+            assert_ne!(id, outer, "parallel_workers(2) must spawn");
+            assert!(inline, "a kernel inside a worker fanned out");
+        }
+    }
+
+    #[test]
+    fn chunk_and_range_workers_are_marked() {
+        if num_threads() < 2 {
+            return; // everything runs inline, nothing to mark
+        }
+        let mut v = vec![0usize; 2];
+        parallel_chunks_mut(&mut v, 1, |_, c| c[0] = num_threads());
+        assert_eq!(v, vec![1, 1]);
+        let counts = std::sync::Mutex::new(Vec::new());
+        parallel_ranges(2, |_, _| counts.lock().unwrap().push(num_threads()));
+        assert_eq!(counts.into_inner().unwrap(), vec![1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 1 failed")]
+    fn worker_panics_reach_the_caller() {
+        let next = AtomicU32::new(0);
+        parallel_workers(2, || {
+            if next.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1 {
+                panic!("worker 1 failed");
+            }
+        });
     }
 
     /// Regression: chunk processing used to spawn one OS thread *per
