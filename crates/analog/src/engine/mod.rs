@@ -17,9 +17,7 @@
 //!    cloning or weight re-deployment.
 //!
 //! [`monte_carlo`] re-expresses the paper's 250-sample evaluation protocol
-//! as N compiled instances executed through per-worker sessions; the old
-//! `montecarlo::mc_*` free functions are deprecated one-line shims over
-//! it.
+//! as N compiled instances executed through per-worker sessions.
 //!
 //! ```
 //! use cn_analog::engine::{AnalogBackend, EngineBuilder, Session};

@@ -19,8 +19,8 @@ struct PlannedScratch {
 ///
 /// The compiled snapshot is shared (many sessions, e.g. one per serving
 /// thread, can hold the same `Arc`); the session owns the mutable
-/// per-caller state — a [`ShapePlan`]-sized arena and ping-pong activation
-/// buffers for the layer stack, plus reusable batch-assembly and
+/// per-caller state — [`ShapePlan`]-sized ping-pong activation buffers
+/// for the layer stack, plus reusable batch-assembly and
 /// prediction buffers. After the first batch at a given shape (warmup,
 /// which sizes the plan), repeated [`infer_batch`](Session::infer_batch) /
 /// [`logits_ref`](Session::logits_ref) calls perform **zero heap

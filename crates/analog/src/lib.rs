@@ -22,8 +22,8 @@
 //! [`Session`]s execute batched inference against.
 //! [`engine::monte_carlo`] runs the paper's N-sample accuracy protocol
 //! (mean/std the paper plots as solid lines and ranges in its Figs. 2
-//! and 7) on that API; the legacy mutate-in-place entry points in
-//! [`montecarlo`] are deprecated shims over it. [`energy`] provides a
+//! and 7) on that API, with its configuration and result types in
+//! [`montecarlo`]. [`energy`] provides a
 //! coarse energy/latency model backing the "negligible hardware cost"
 //! claim of Table I.
 //!

@@ -101,20 +101,6 @@ pub fn run_many(names: &[String], opts: &RunOptions) -> Result<Vec<RunSummary>, 
     Ok(summaries)
 }
 
-/// Entry point of the deprecated per-figure binaries: forwards to the
-/// registry with legacy-compatible defaults (`CN_SCALE`, `results/`).
-pub fn shim_main(name: &str) {
-    eprintln!(
-        "[deprecated] the `{name}` binary is a compatibility shim; use \
-         `cargo run -p cn-bench --bin cn-experiments -- run {name}` instead."
-    );
-    let opts = RunOptions::default();
-    if let Err(e) = run_many(&[name.to_string()], &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,11 +13,10 @@ use cn_analog::montecarlo::McConfig;
 use cn_data::Dataset;
 use cn_nn::noise::num_weight_layers;
 use cn_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// One point of the suffix-variation sweep: variations on weight layers
 /// `start..L`, accuracy mean/std over MC samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuffixPoint {
     /// First weight layer carrying variations.
     pub start: usize,
@@ -28,7 +27,7 @@ pub struct SuffixPoint {
 }
 
 /// Output of [`select_candidates`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateReport {
     /// Variation-free accuracy of the model.
     pub clean_accuracy: f32,

@@ -23,7 +23,6 @@ pub use train::{
 
 use cn_nn::layers::{Conv2d, Dense};
 use cn_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Number of generator filters for an original layer with `n` outputs at
 /// compensation ratio `ratio` (paper: `Sᵢ` × original filter count,
@@ -34,7 +33,7 @@ pub fn generator_filters(n: usize, ratio: f32) -> usize {
 
 /// One placement decision: compensate weight-layer `weight_layer` with
 /// ratio `ratio`. Ratios ≤ 0 mean "no compensation" (paper: `S ≤ 0`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEntry {
     /// Index among the model's analog weight layers (0-based).
     pub weight_layer: usize,
@@ -43,7 +42,7 @@ pub struct PlanEntry {
 }
 
 /// A full compensation placement (the RL search's state, paper Fig. 6).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompensationPlan {
     /// Placement entries; entries with `ratio ≤ 0` are skipped.
     pub entries: Vec<PlanEntry>,

@@ -24,10 +24,9 @@ use cn_data::Dataset;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{EpochStats, TrainConfig, Trainer};
 use cn_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by all pipeline stages.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CorrectNetConfig {
     /// Variation level the deployment must survive (paper: 0.5).
     pub sigma: f32,
@@ -83,7 +82,7 @@ impl CorrectNetConfig {
 }
 
 /// Outcome of evaluating one compensation plan end to end.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanEvaluation {
     /// Mean Monte-Carlo accuracy under variations.
     pub mean: f32,

@@ -4,10 +4,8 @@
 //! helpers so every figure/table regenerator has a uniform, diff-friendly
 //! output format (recorded in `EXPERIMENTS.md`).
 
-use serde::{Deserialize, Serialize};
-
 /// One row of a Table-I-style summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// `network-dataset` label.
     pub pair: String,
@@ -36,7 +34,7 @@ impl Table1Row {
 }
 
 /// One point of an accuracy-vs-σ sweep (Figs. 2 and 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmaPoint {
     /// Variation level.
     pub sigma: f32,
@@ -47,7 +45,7 @@ pub struct SigmaPoint {
 }
 
 /// One point of an accuracy-vs-overhead trade-off (Figs. 8 and 10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffPoint {
     /// Method or plan label.
     pub label: String,

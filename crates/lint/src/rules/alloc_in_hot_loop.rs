@@ -1,10 +1,10 @@
 //! `alloc-in-hot-loop` — heap allocation inside a steady-state serving
 //! or inference loop.
 //!
-//! PR 10 made the serving hot path allocation-free end to end: sessions
-//! plan their scratch once per deployment shape (`ShapePlan` + arena),
-//! workers stage batches and recycle reply buffers, handlers reuse
-//! frame-encode scratch — and counting-allocator regression tests pin
+//! The serving hot path is allocation-free end to end: sessions plan
+//! their activation buffers once per deployment shape (`ShapePlan` +
+//! `InferScratch`), workers stage batches and recycle reply buffers,
+//! handlers reuse frame-encode scratch — and counting-allocator regression tests pin
 //! **zero heap allocations per request** in steady state. An innocent
 //! `Vec::new`/`to_vec`/`.clone()` added to one of those loops silently
 //! reintroduces a per-request allocation long before the perf harness
@@ -119,9 +119,9 @@ fn check_alloc_at(file: &SourceFile, j: usize, sink: &mut Sink<'_>) {
             j,
             "heap allocation in a zero-alloc hot loop: this path is covered by the \
              counting-allocator regression tests (zero allocations per request in steady \
-             state); reuse the planned scratch (arena, staging buffers, pooled replies), \
-             or suppress with an argument for why this allocation is warmup/once-per-\
-             deployment rather than per-request",
+             state); reuse the planned scratch (activation buffers, staging buffers, pooled \
+             replies), or suppress with an argument for why this allocation is warmup/once-\
+             per-deployment rather than per-request",
         );
     }
 }

@@ -1,7 +1,6 @@
 //! The layer abstraction.
 
 use crate::param::Param;
-use cn_tensor::alloc::Arena;
 use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
@@ -35,16 +34,38 @@ pub trait Layer: Send + Sync {
     /// batch-norm statistics updates).
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
-    /// Evaluation-mode forward pass through `&self`: no activation caching,
-    /// no statistics updates, no stochastic behaviour.
+    /// Evaluation-mode forward pass through `&self` into a recycled
+    /// output tensor — the one inference entry point every layer
+    /// implements.
     ///
-    /// This is the inference path compiled deployments execute (see the
-    /// engine layer): because it never mutates the layer, a single model
-    /// snapshot can serve concurrent inference sessions. Implementations
-    /// must produce **bitwise identical** outputs to
-    /// `forward(x, /*train=*/false)` — the engine's backend-equivalence
-    /// tests rely on it.
-    fn infer(&self, x: &Tensor) -> Tensor;
+    /// Implementations overwrite `out`, whatever shape and data it held
+    /// before, with the layer's eval-mode output, and then apply `act`
+    /// to every element. No activation caching, no statistics updates, no stochastic
+    /// behaviour: because it never mutates the layer, a single model
+    /// snapshot can serve concurrent inference sessions (see the engine
+    /// layer).
+    ///
+    /// The result must be **bitwise identical** to
+    /// `forward(x, /*train=*/false)` followed by `act` — with
+    /// `Activation::Relu` that is `v.max(0.0)` applied after each
+    /// element's computation completes, which is what lets
+    /// [`crate::Sequential`] fold a `<layer> → Relu` pair into one call.
+    /// The engine's backend-equivalence tests rely on it.
+    ///
+    /// Once `out`'s capacity has warmed to its high-water size, layers
+    /// write it in place and allocate nothing — except weight layers
+    /// without packed panels (see [`pack_weights`](Layer::pack_weights)),
+    /// which pack per call. This is what makes steady-state
+    /// [`crate::Sequential::infer_with`] heap-silent for deployments.
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor);
+
+    /// [`infer_into`](Layer::infer_into) with no trailing activation,
+    /// into a fresh tensor.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_into(x, Activation::Identity, &mut out);
+        out
+    }
 
     /// Backpropagates `grad_out`, accumulating parameter gradients and
     /// returning the input gradient.
@@ -90,53 +111,6 @@ pub trait Layer: Send + Sync {
     /// Baking is destructive to the nominal weights by design; it is meant
     /// for deployment snapshots, not for models that keep training.
     fn bake_noise(&mut self) {}
-
-    /// [`infer`](Layer::infer) with a trailing ReLU fused into the
-    /// layer's output stage, for layers that can fold it into their GEMM
-    /// writeback. Returns `None` when the layer has no fusion support
-    /// (the caller then runs the activation separately).
-    ///
-    /// Implementations must be **bitwise identical** to `infer` followed
-    /// by `Relu::infer` (`v.max(0.0)` applied after each output's
-    /// accumulation completes). [`crate::Sequential::infer`] uses this to
-    /// collapse `<layer> → Relu` pairs into one fused kernel; wrapper
-    /// layers can delegate to their innermost output operator.
-    fn infer_fused_relu(&self, _x: &Tensor) -> Option<Tensor> {
-        None
-    }
-
-    /// Allocation-free [`infer`](Layer::infer) into a recycled output
-    /// tensor: reshape `out` in place (its capacity is reused), write
-    /// the result, draw any internal scratch from `arena`, and return
-    /// `true`. Returning `false` (the default) tells the caller to fall
-    /// back to the allocating [`infer`](Layer::infer) path.
-    ///
-    /// `act` is a trailing activation the caller wants fused into the
-    /// writeback (the `<layer> → Relu` peephole): implementations must
-    /// only accept `Activation::Relu` when the fused result is **bitwise
-    /// identical** to `infer` followed by `v.max(0.0)` — otherwise
-    /// return `false` and let the caller fuse/fall back itself. With
-    /// `Activation::Identity` the output contract is exactly
-    /// [`infer`](Layer::infer)'s.
-    ///
-    /// Implementations may only allocate through `arena` (or not at
-    /// all) once `out`'s capacity and the arena have warmed up — this is
-    /// what makes steady-state `Sequential::infer_with` heap-silent.
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor, arena: &Arena) -> bool {
-        let _ = (x, act, out, arena);
-        false
-    }
-
-    /// Bytes of [`Arena`] scratch one [`infer_into`](Layer::infer_into)
-    /// call draws for an input of shape `in_dims` — used by
-    /// [`crate::ShapePlan`] to size a session's arena exactly. Must
-    /// account every `alloc_f32` at [`Arena::f32_slot_bytes`]
-    /// granularity. Layers that never touch the arena keep the default
-    /// zero.
-    fn infer_scratch_bytes(&self, in_dims: &[usize]) -> usize {
-        let _ = in_dims;
-        0
-    }
 
     /// Packs the layer's frozen *effective* weights into the GEMM panel
     /// layout ([`cn_tensor::ops::PackedB`]) consumed by the inference hot

@@ -5,6 +5,7 @@
 //! regularization of the linear operators.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
 /// Logistic sigmoid activation `y = 1/(1+e^{−x})`.
@@ -31,8 +32,9 @@ impl Layer for Sigmoid {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.sigmoid()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        // The same scalar expression as `Tensor::sigmoid`.
+        super::map_into(x, act, out, |v| 1.0 / (1.0 + (-v).exp()));
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -80,8 +82,8 @@ impl Layer for Tanh {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.tanh()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        super::map_into(x, act, out, f32::tanh);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

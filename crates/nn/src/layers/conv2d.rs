@@ -127,27 +127,6 @@ impl Conv2d {
         w.into_reshaped(&[oc, cols])
     }
 
-    /// The shared forward computation (used by `forward`, `infer` and the
-    /// fused ReLU inference path): `act(W_eff ⊛ x + b)` through the direct
-    /// convolution kernel, over the pre-packed weight panels when present
-    /// and over panels packed for this call otherwise. The fused ReLU is
-    /// the same elementwise op as a separate `Relu` layer, so both are
-    /// bitwise identical.
-    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
-        self.check_input(x);
-        let geo = self.geometry(x);
-        let bias = self.b.value.data();
-        let mut y = Tensor::zeros(&[0]);
-        match self.packed.as_deref() {
-            Some(w) => conv2d_forward_into(&mut y, x, &geo, w, bias, act),
-            None => {
-                let w = PackedA::from_tensor(&self.effective_weight_matrix());
-                conv2d_forward_into(&mut y, x, &geo, &w, bias, act);
-            }
-        }
-        y
-    }
-
     fn check_input(&self, x: &Tensor) {
         assert_eq!(x.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(
@@ -167,35 +146,28 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let y = self.apply_act(x, Activation::Identity);
+        let y = self.infer(x);
         self.cache_x = Some(x.clone());
         self.cache_geo = Some(self.geometry(x));
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.apply_act(x, Activation::Identity)
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        Some(self.apply_act(x, Activation::Relu))
-    }
-
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: Activation,
-        out: &mut Tensor,
-        _arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
-        // Only deployed (pre-packed) convolutions are allocation-free;
-        // unpacked layers fall back to the allocating `infer`.
-        let Some(w) = self.packed.as_deref() else {
-            return false;
-        };
+    /// `act(W_eff ⊛ x + b)` through the direct convolution kernel, over
+    /// the pre-packed weight panels when present and over panels packed
+    /// for this call otherwise (training, undeployed models). The
+    /// kernel's ReLU epilogue is the same elementwise op as a separate
+    /// `Relu` layer, so the fused result is bitwise identical.
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         self.check_input(x);
-        conv2d_forward_into(out, x, &self.geometry(x), w, self.b.value.data(), act);
-        true
+        let geo = self.geometry(x);
+        let bias = self.b.value.data();
+        match self.packed.as_deref() {
+            Some(w) => conv2d_forward_into(out, x, &geo, w, bias, act),
+            None => {
+                let w = PackedA::from_tensor(&self.effective_weight_matrix());
+                conv2d_forward_into(out, x, &geo, &w, bias, act);
+            }
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -399,8 +371,11 @@ mod tests {
         let mut conv = Conv2d::new(1, 3, 3, 1, 1, &mut rng);
         let x = rng.normal_tensor(&[2, 1, 5, 5], 0.0, 1.0);
         let separate = conv.infer(&x).map(|v| v.max(0.0));
-        assert_eq!(conv.infer_fused_relu(&x).unwrap(), separate);
+        let mut fused = Tensor::zeros(&[0]);
+        conv.infer_into(&x, Activation::Relu, &mut fused);
+        assert_eq!(fused, separate);
         conv.pack_weights();
-        assert_eq!(conv.infer_fused_relu(&x).unwrap(), separate);
+        conv.infer_into(&x, Activation::Relu, &mut fused);
+        assert_eq!(fused, separate);
     }
 }

@@ -77,11 +77,19 @@ impl Dense {
             None => self.w.value.clone(),
         }
     }
+}
 
-    /// The shared forward computation (used by `forward`, `infer` and the
-    /// fused ReLU inference path): `act(x·Wᵀ_eff + b)` through the GEMM
-    /// epilogue, reusing pre-packed panels when present.
-    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
+impl Layer for Dense {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        self.cache_x = Some(x.clone());
+        self.infer(x)
+    }
+
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         assert_eq!(x.rank(), 2, "Dense expects [N, in] input");
         assert_eq!(
             x.dims()[1],
@@ -97,45 +105,8 @@ impl Dense {
             || self.effective_weight(),
             &self.b.value,
             act,
-        )
-    }
-}
-
-impl Layer for Dense {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cache_x = Some(x.clone());
-        self.apply_act(x, Activation::Identity)
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.apply_act(x, Activation::Identity)
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        Some(self.apply_act(x, Activation::Relu))
-    }
-
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: Activation,
-        out: &mut Tensor,
-        _arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
-        assert_eq!(x.rank(), 2, "Dense expects [N, in] input");
-        assert_eq!(
-            x.dims()[1],
-            self.in_features(),
-            "Dense {}: input features {} != expected {}",
-            self.name,
-            x.dims()[1],
-            self.in_features()
+            out,
         );
-        super::matrix_infer_act_into(x, self.packed.as_deref(), &self.b.value, act, out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -330,9 +301,12 @@ mod tests {
         let mut l = Dense::new(8, 6, &mut rng);
         let x = rng.normal_tensor(&[4, 8], 0.0, 1.0);
         let separate = l.infer(&x).map(|v| v.max(0.0));
-        assert_eq!(l.infer_fused_relu(&x).unwrap(), separate);
+        let mut fused = Tensor::zeros(&[0]);
+        l.infer_into(&x, Activation::Relu, &mut fused);
+        assert_eq!(fused, separate);
         l.pack_weights();
-        assert_eq!(l.infer_fused_relu(&x).unwrap(), separate);
+        l.infer_into(&x, Activation::Relu, &mut fused);
+        assert_eq!(fused, separate);
     }
 
     #[test]

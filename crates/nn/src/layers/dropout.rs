@@ -1,6 +1,7 @@
 //! Inverted dropout.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::{SeededRng, Tensor};
 
 /// Inverted dropout: at train time each activation is zeroed with
@@ -65,8 +66,8 @@ impl Layer for Dropout {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.clone()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        super::map_into(x, act, out, |v| v);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -19,10 +19,10 @@ pub use pool::{AvgPool2d, MaxPool2d};
 pub use relu::Relu;
 
 use cn_tensor::ops::gemm::{gemm_bias_act_into, MR};
-use cn_tensor::ops::{gemm_bias_act, Activation, Layout, PackedB};
+use cn_tensor::ops::{Activation, Layout, PackedB};
 use cn_tensor::Tensor;
 
-/// `Dense`'s `act(x·Wᵀ_eff + bias)` dispatch:
+/// `Dense`'s `act(x·Wᵀ_eff + bias)` dispatch into `out`:
 ///
 /// 1. pre-packed panels when the layer was deployed via `pack_weights`,
 /// 2. a direct skinny product when `x` has fewer than `MR` rows (the
@@ -30,47 +30,37 @@ use cn_tensor::Tensor;
 /// 3. pack-per-call through the fused GEMM otherwise.
 ///
 /// All three branches are bitwise identical (see the GEMM kernel docs);
-/// `w_eff` is only materialized when no pre-packed panels exist.
+/// `w_eff` is only materialized when no pre-packed panels exist, so the
+/// deployed branch writes into `out` without allocating.
 pub(crate) fn matrix_infer_act(
     x: &Tensor,
     packed: Option<&PackedB>,
     w_eff: impl FnOnce() -> Tensor,
     bias: &Tensor,
     act: Activation,
-) -> Tensor {
+    out: &mut Tensor,
+) {
     if let Some(packed) = packed {
-        return gemm_bias_act(x, Layout::RowMajor, packed, Some(bias), act);
+        gemm_bias_act_into(out, x, Layout::RowMajor, packed, Some(bias), act);
+        return;
     }
     let w_eff = w_eff();
     if x.dims()[0] < MR {
-        let y = &x.matmul_t(&w_eff) + bias;
-        return match act {
-            Activation::Identity => y,
-            Activation::Relu => y.map(|v| v.max(0.0)),
-        };
+        *out = &x.matmul_t(&w_eff) + bias;
+        act.apply(out.data_mut());
+    } else {
+        let packed = PackedB::from_tensor(&w_eff, Layout::Transposed);
+        gemm_bias_act_into(out, x, Layout::RowMajor, &packed, Some(bias), act);
     }
-    let packed = PackedB::from_tensor(&w_eff, Layout::Transposed);
-    gemm_bias_act(x, Layout::RowMajor, &packed, Some(bias), act)
 }
 
-/// Allocation-free sibling of [`matrix_infer_act`] for deployed layers:
-/// only the pre-packed branch exists here (a compiled deployment always
-/// packs), writing into the recycled `out` tensor. Returns `false` when
-/// the layer is unpacked so the caller falls back to the allocating
-/// path. Bitwise identical to [`matrix_infer_act`] — same kernel, same
-/// epilogue.
-pub(crate) fn matrix_infer_act_into(
-    x: &Tensor,
-    packed: Option<&PackedB>,
-    bias: &Tensor,
-    act: Activation,
-    out: &mut Tensor,
-) -> bool {
-    match packed {
-        Some(packed) => {
-            gemm_bias_act_into(out, x, Layout::RowMajor, packed, Some(bias), act);
-            true
-        }
-        None => false,
+/// Writes `act(f(v))` for every element `v` of `x` into `out`, reshaped
+/// in place to `x`'s dims — the `infer_into` body of every elementwise
+/// layer.
+pub(crate) fn map_into(x: &Tensor, act: Activation, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+    out.resize_in_place(x.dims());
+    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
+        *o = f(v);
     }
+    act.apply(out.data_mut());
 }

@@ -85,101 +85,61 @@ impl Sequential {
     /// `forward(x, /*train=*/false)`; because it never mutates the model,
     /// one instance can serve concurrent inference sessions.
     ///
-    /// `<layer> → Relu` pairs execute as one fused GEMM whenever the
-    /// layer implements [`Layer::infer_fused_relu`] (`Dense`, `Conv2d`
-    /// and the compensation wrappers do; the ReLU runs in the C-tile
-    /// writeback). The fused epilogue applies the exact `v.max(0.0)` of
-    /// [`Relu`] after each element's accumulation completes, so the
-    /// bitwise guarantee above holds.
+    /// Runs [`infer_with`](Self::infer_with) over a fresh, empty
+    /// [`InferScratch`] and returns the buffer holding the output.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        let mut i = 0;
-        while i < self.layers.len() {
-            let layer = self.layers[i].as_ref();
-            let relu_next = self
-                .layers
-                .get(i + 1)
-                .is_some_and(|l| l.as_any().is::<Relu>());
-            if relu_next {
-                if let Some(fused) = layer.infer_fused_relu(&cur) {
-                    cur = fused;
-                    i += 2;
-                    continue;
-                }
-            }
-            cur = layer.infer(&cur);
-            i += 1;
-        }
-        cur
+        let mut scratch = InferScratch::default();
+        self.infer_with(x, &mut scratch);
+        scratch.ping
     }
 
     /// [`infer`](Self::infer) through caller-owned scratch: the
     /// allocation-free steady-state entry point.
     ///
-    /// Layers that implement [`Layer::infer_into`] write into the
-    /// scratch's ping-pong activation tensors and draw temporaries from
-    /// its arena; layers without an into-path fall back to the allocating
-    /// [`Layer::infer`] (warmup and exotic layers only — the deployed
-    /// dense/conv stacks cover every step). The `<layer> → Relu` fusion
-    /// peephole of [`infer`](Self::infer) is preserved, and the result is
-    /// bitwise identical to `infer(x)` — same kernels, same epilogues,
-    /// only the output memory differs.
+    /// Every layer runs [`Layer::infer_into`], reading one of the
+    /// scratch's ping-pong activation tensors and writing the other. A
+    /// `<layer> → Relu` pair runs as one call with the ReLU passed as the
+    /// layer's trailing activation (for `Dense`, `Conv2d` and the
+    /// compensation wrappers it runs in the GEMM writeback), and the
+    /// `Relu` itself is skipped. The activation is the exact `v.max(0.0)`
+    /// of [`Relu`], so the result is bitwise identical to
+    /// `forward(x, false)`.
     ///
     /// The returned reference borrows from `scratch`; copy it out (or
     /// consume it) before the next call overwrites the buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with "arena overflow" if `scratch`'s arena is smaller than
-    /// the model's temporaries at this input shape (i.e. the
-    /// [`ShapePlan`] used to size it did not cover `x`).
     pub fn infer_with<'s>(&self, x: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
-        scratch.arena.reset();
-        let InferScratch { ping, pong, arena } = scratch;
-        let mut src: &mut Tensor = ping;
-        let mut dst: &mut Tensor = pong;
+        let InferScratch { ping, pong } = scratch;
+        // Invariant: after each step the latest activation sits in `ping`.
         let mut first = true;
         let mut i = 0;
         while i < self.layers.len() {
-            let layer = self.layers[i].as_ref();
-            let input: &Tensor = if first { x } else { &*src };
             let relu_next = self
                 .layers
                 .get(i + 1)
                 .is_some_and(|l| l.as_any().is::<Relu>());
-            let mut fused = false;
-            if relu_next {
-                if layer.infer_into(input, Activation::Relu, dst, arena) {
-                    fused = true;
-                } else if let Some(y) = layer.infer_fused_relu(input) {
-                    // Allocating fused fallback (unpacked layers).
-                    *dst = y;
-                    fused = true;
-                }
-            }
-            if fused {
-                i += 2;
-            } else if layer.infer_into(input, Activation::Identity, dst, arena) {
-                i += 1;
+            let act = if relu_next {
+                Activation::Relu
             } else {
-                *dst = layer.infer(input);
-                i += 1;
-            }
-            std::mem::swap(&mut src, &mut dst);
+                Activation::Identity
+            };
+            let input: &Tensor = if first { x } else { ping };
+            self.layers[i].infer_into(input, act, pong);
+            std::mem::swap(ping, pong);
             first = false;
+            i += if relu_next { 2 } else { 1 };
         }
         if first {
-            // Zero-layer model: `infer` returns the input unchanged.
-            src.resize_in_place(x.dims());
-            src.data_mut().copy_from_slice(x.data());
+            // Zero-layer model: the output is the input.
+            ping.resize_in_place(x.dims());
+            ping.data_mut().copy_from_slice(x.data());
         }
-        &*src
+        ping
     }
 
     /// Measures the scratch a deployment of this model needs at
-    /// `[max_batch, …sample_dims]` inputs by dry-running every layer on
-    /// zeros (plan-time allocations are fine; the point is that the
-    /// steady state afterwards makes none).
+    /// `[max_batch, …sample_dims]` inputs by dry-running every layer's
+    /// [`Layer::infer_into`] on zeros (plan-time allocations are fine; the
+    /// point is that the steady state afterwards makes none).
     ///
     /// # Panics
     ///
@@ -188,15 +148,15 @@ impl Sequential {
         assert!(max_batch > 0, "shape plan needs a positive max batch");
         let mut dims = vec![max_batch];
         dims.extend_from_slice(sample_dims);
-        let mut arena_bytes = 0usize;
         let mut peak = 0usize;
         let mut cur = Tensor::zeros(&dims);
+        let mut next = Tensor::default();
         for layer in &self.layers {
-            arena_bytes += layer.infer_scratch_bytes(cur.dims());
-            cur = layer.infer(&cur);
+            layer.infer_into(&cur, Activation::Identity, &mut next);
+            std::mem::swap(&mut cur, &mut next);
             peak = peak.max(cur.numel());
         }
-        ShapePlan::new(max_batch, sample_dims, peak, arena_bytes)
+        ShapePlan::new(max_batch, sample_dims, peak)
     }
 
     /// Runs the forward pass, returning every intermediate activation
@@ -568,7 +528,7 @@ mod tests {
         let x = rng.normal_tensor(&[2, 1, 6, 6], 0.0, 1.0);
         let plan = m.shape_plan(&[1, 6, 6], 2);
         let mut scratch = InferScratch::from_plan(&plan);
-        // Unpacked: into-paths decline, every fallback still matches.
+        // Unpacked: the layers pack per call and still match.
         assert_eq!(*m.infer_with(&x, &mut scratch), m.infer(&x));
         m.pack_weights();
         let reference = m.infer(&x);
@@ -597,11 +557,6 @@ mod tests {
         assert!(!plan.covers(&[8, 6, 6]));
         // Peak activation is the conv output [8, 4, 6, 6].
         assert_eq!(plan.peak_activation_elems(), 8 * 4 * 6 * 6);
-        // No layer needs arena temporaries: the packed conv and dense
-        // kernels write straight into the ping-pong tensors.
-        let l = m.layer(0);
-        assert_eq!(plan.arena_bytes(), l.infer_scratch_bytes(&[8, 1, 6, 6]));
-        assert_eq!(plan.arena_bytes(), 0);
     }
 
     #[test]

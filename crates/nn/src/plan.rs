@@ -1,30 +1,29 @@
 //! Shape planning and reusable inference scratch.
 //!
 //! A compiled deployment knows its input shape and maximum batch size up
-//! front, so every intermediate buffer the inference pass needs — layer
-//! activations and any per-layer temporaries — can be sized once and
-//! reused forever. [`ShapePlan`] records those sizes (computed by
-//! a dry run over zeros at the maximum batch); [`InferScratch`] owns the
-//! memory the plan calls for: two ping-pong activation tensors and a bump
-//! [`Arena`] for per-layer temporaries. [`crate::Sequential::infer_with`]
-//! threads them through the layer stack so the steady state performs zero
-//! heap allocations per call.
+//! front, so the activation buffers its inference pass needs can be sized
+//! once and reused forever. [`ShapePlan`] records the largest activation
+//! (measured by a dry run over zeros at the maximum batch);
+//! [`InferScratch`] owns two ping-pong activation tensors warmed to that
+//! size. [`crate::Sequential::infer_with`] threads them through the layer
+//! stack — every layer writes into one while reading the other through
+//! [`crate::Layer::infer_into`] — so the steady state performs zero heap
+//! allocations per call.
 
-use cn_tensor::alloc::Arena;
 use cn_tensor::Tensor;
 
-/// Exact scratch requirements of one model at one deployment shape.
+/// Exact activation-buffer requirements of one model at one deployment
+/// shape.
 ///
 /// Sizes are computed at `max_batch` and are valid upper bounds for every
-/// smaller batch: activation and im2col sizes scale linearly with the
-/// batch dimension, so a plan sized for `max_batch` covers all
-/// `1..=max_batch` inferences.
+/// smaller batch: activation sizes scale linearly with the batch
+/// dimension, so a plan sized for `max_batch` covers all `1..=max_batch`
+/// inferences.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapePlan {
     max_batch: usize,
     sample_dims: Vec<usize>,
     peak_activation_elems: usize,
-    arena_bytes: usize,
 }
 
 impl ShapePlan {
@@ -32,13 +31,11 @@ impl ShapePlan {
         max_batch: usize,
         sample_dims: &[usize],
         peak_activation_elems: usize,
-        arena_bytes: usize,
     ) -> Self {
         ShapePlan {
             max_batch,
             sample_dims: sample_dims.to_vec(),
             peak_activation_elems,
-            arena_bytes,
         }
     }
 
@@ -58,13 +55,6 @@ impl ShapePlan {
         self.peak_activation_elems
     }
 
-    /// Total arena bytes the layer stack's temporaries need for one full
-    /// pass (the sum of every layer's
-    /// [`crate::Layer::infer_scratch_bytes`], at arena slot granularity).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena_bytes
-    }
-
     /// True when an input of `dims` fits this plan: same per-sample dims
     /// and a batch of at most [`max_batch`](Self::max_batch).
     pub fn covers(&self, dims: &[usize]) -> bool {
@@ -76,32 +66,25 @@ impl ShapePlan {
 
 /// The memory a [`ShapePlan`] calls for, owned by one inference session.
 ///
-/// Holds two activation tensors (layers write into one while reading the
-/// other; [`crate::Sequential::infer_with`] swaps them between layers) and
-/// the bump arena for intra-layer temporaries. Construct via
-/// [`InferScratch::from_plan`] so every buffer is warmed to its high-water
-/// size; after the first pass, reuse is allocation-free.
-#[derive(Debug)]
+/// Holds two activation tensors: layers write into one while reading the
+/// other, and [`crate::Sequential::infer_with`] swaps them between layers.
+/// Construct via [`InferScratch::from_plan`] so both buffers are warmed to
+/// their high-water size; after the first pass, reuse is allocation-free.
+/// The empty `Default` scratch grows on first use.
+#[derive(Debug, Default)]
 pub struct InferScratch {
     pub(crate) ping: Tensor,
     pub(crate) pong: Tensor,
-    pub(crate) arena: Arena,
 }
 
 impl InferScratch {
-    /// Allocates scratch sized by `plan`: both ping-pong tensors at the
-    /// peak activation size and the arena at the summed temporary size.
+    /// Allocates both ping-pong tensors at the plan's peak activation
+    /// size.
     pub fn from_plan(plan: &ShapePlan) -> Self {
         let elems = plan.peak_activation_elems.max(1);
         InferScratch {
             ping: Tensor::zeros(&[elems]),
             pong: Tensor::zeros(&[elems]),
-            arena: Arena::with_capacity(plan.arena_bytes),
         }
-    }
-
-    /// The temporaries arena (for capacity/high-water introspection).
-    pub fn arena(&self) -> &Arena {
-        &self.arena
     }
 }

@@ -10,11 +10,10 @@ use cn_data::Dataset;
 use cn_nn::Sequential;
 use correctnet::compensation::{CompensationPlan, PlanEntry};
 use correctnet::pipeline::CorrectNetStages;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of evaluating one placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outcome {
     /// Mean Monte-Carlo accuracy under variations.
     pub acc_mean: f32,

@@ -1,9 +1,7 @@
 //! The reward function of paper eq. (12).
 
-use serde::{Deserialize, Serialize};
-
 /// Reward specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardSpec {
     /// Maximum admissible weight overhead (paper: 1 %, 2 %, 3 %).
     pub overhead_limit: f32,

@@ -72,6 +72,19 @@ pub enum Activation {
     Relu,
 }
 
+impl Activation {
+    /// Applies the activation to every element of `data` in place — the
+    /// same `v.max(0.0)` the fused epilogue runs, for outputs that were
+    /// not produced by a GEMM.
+    pub fn apply(self, data: &mut [f32]) {
+        if self == Activation::Relu {
+            for v in data {
+                *v = v.max(0.0);
+            }
+        }
+    }
+}
+
 /// The GEMM driver: `C[m, n] = epilogue(A[m, k] · B[k, n])` into a
 /// caller-provided output slice.
 ///
