@@ -1,5 +1,6 @@
-//! Thread-count invariance: `monte_carlo` accuracies and session logits
-//! must be bitwise equal whatever `CN_THREADS` says.
+//! Thread-count invariance: `monte_carlo` accuracies, session logits and
+//! LeNet-5 training (parameter gradients and the state after a few Adam
+//! steps) must be bitwise equal whatever `CN_THREADS` says.
 //!
 //! The kernel thread count is read once and cached for the whole
 //! process, so it cannot be varied inside one test process. The test
@@ -10,6 +11,8 @@
 use cn_analog::engine::{monte_carlo, AnalogBackend, EngineBuilder, Session};
 use cn_analog::montecarlo::McConfig;
 use cn_data::synthetic_mnist;
+use cn_nn::loss::softmax_cross_entropy;
+use cn_nn::optim::{Adam, Optimizer};
 use cn_nn::zoo::{lenet5, LeNetConfig};
 use cn_tensor::{SeededRng, Tensor};
 use std::process::Command;
@@ -52,6 +55,30 @@ fn report() {
             bits(session.logits_ref(&x).data())
         );
     }
+
+    // Training at batch 32: every parameter gradient of the first
+    // forward + backward, then the weights after three Adam steps.
+    let mut net = lenet5(&LeNetConfig::mnist(7));
+    let mut adam = Adam::new(1e-3);
+    for step in 0..3 {
+        let x = rng.normal_tensor(&[32, 1, 28, 28], 0.0, 1.0);
+        let labels: Vec<usize> = (0..32).map(|i| (i * 7 + step) % 10).collect();
+        net.zero_grad();
+        let logits = net.forward(&x, true);
+        net.backward(&softmax_cross_entropy(&logits, &labels).1);
+        let mut params = net.params_mut();
+        if step == 0 {
+            let grads: Vec<f32> = params.iter().flat_map(|p| p.grad.data().to_vec()).collect();
+            println!("{MARK} train_grads_b32 {}", bits(&grads));
+        }
+        adam.step(&mut params);
+    }
+    let state: Vec<f32> = net
+        .state_dict()
+        .iter()
+        .flat_map(|(_, t)| t.data().to_vec())
+        .collect();
+    println!("{MARK} adam_state_3_steps {}", bits(&state));
 }
 
 /// One child's results: `(name, f32 bit patterns)` per result line.
@@ -94,7 +121,7 @@ fn child_results(threads: &str) -> Results {
             (name, values)
         })
         .collect();
-    assert_eq!(results.len(), 4, "child at CN_THREADS={threads}");
+    assert_eq!(results.len(), 6, "child at CN_THREADS={threads}");
     results
 }
 

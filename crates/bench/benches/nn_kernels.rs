@@ -38,19 +38,28 @@ fn bench_conv_forward(c: &mut Criterion) {
 }
 
 fn bench_conv_backward(c: &mut Criterion) {
-    let mut rng = SeededRng::new(3);
-    let mut conv = Conv2d::new(16, 16, 3, 1, 1, &mut rng);
-    let x = rng.normal_tensor(&[8, 16, 16, 16], 0.0, 1.0);
-    let y = conv.forward(&x, true);
-    let g = rng.normal_tensor(y.dims(), 0.0, 1.0);
     // Grouped so the baseline taxonomy is uniformly group/id.
     let mut group = c.benchmark_group("conv2d_train");
-    group.bench_function("fwd_bwd_16c_b8", |b| {
-        b.iter(|| {
-            let _ = conv.forward(&x, true);
-            black_box(conv.backward(&g))
+    let mut rng = SeededRng::new(3);
+    // (id, in_c, out_c, kernel, pad, batch, hw): a 3×3 block, then
+    // LeNet-5's two convolutions at the `train` workload's batch of 32
+    // on 28×28 MNIST (conv1 pads by 2, conv2 sees the pooled 14×14 map).
+    for (id, in_c, out_c, k, pad, batch, hw) in [
+        ("fwd_bwd_16c_b8", 16, 16, 3, 1, 8, 16),
+        ("lenet_conv1_b32", 1, 6, 5, 2, 32, 28),
+        ("lenet_conv2_b32", 6, 16, 5, 0, 32, 14),
+    ] {
+        let mut conv = Conv2d::new(in_c, out_c, k, 1, pad, &mut rng);
+        let x = rng.normal_tensor(&[batch, in_c, hw, hw], 0.0, 1.0);
+        let y = conv.forward(&x, true);
+        let g = rng.normal_tensor(y.dims(), 0.0, 1.0);
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let _ = conv.forward(&x, true);
+                black_box(conv.backward(&g))
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -5,8 +5,9 @@
 //!
 //! - `{"cmd":"stats"}` — a snapshot aggregating every shard's
 //!   [`ServerStats`](cn_serve::ServerStats) (per-shard and
-//!   requests-weighted aggregate p50/p95/p99, throughput, in-flight,
-//!   shed/routed counters, generation, lifecycle state).
+//!   requests-weighted aggregate p50/p95/p99, throughput, worker
+//!   panics, in-flight, shed/routed counters, generation, lifecycle
+//!   state).
 //! - `{"cmd":"drain"}` — begin a graceful drain: the frontend stops
 //!   accepting, in-flight requests are flushed, then connections and
 //!   shards close.
@@ -110,6 +111,7 @@ fn error_reply(message: &str) -> String {
 /// Renders a [`RouterStats`] snapshot as the `/stats` JSON document.
 pub fn stats_reply(stats: &RouterStats) -> String {
     let (requests, throughput, p50, p95, p99) = stats.aggregate();
+    let worker_panics: u64 = stats.shards.iter().map(|s| s.worker_panics).sum();
     let shards: Vec<Json> = stats
         .shards
         .iter()
@@ -123,6 +125,7 @@ pub fn stats_reply(stats: &RouterStats) -> String {
                 ("p50_us", Json::num(s.p50_us)),
                 ("p95_us", Json::num(s.p95_us)),
                 ("p99_us", Json::num(s.p99_us)),
+                ("worker_panics", Json::num(s.worker_panics as f64)),
                 ("inflight", Json::num(inflight as f64)),
             ])
         })
@@ -141,6 +144,7 @@ pub fn stats_reply(stats: &RouterStats) -> String {
                 ("p50_us", Json::num(p50)),
                 ("p95_us", Json::num(p95)),
                 ("p99_us", Json::num(p99)),
+                ("worker_panics", Json::num(worker_panics as f64)),
             ]),
         ),
         ("shards", Json::Arr(shards)),
@@ -186,6 +190,30 @@ mod tests {
         let agg = json.get("aggregate").unwrap();
         assert_eq!(agg.get("requests").and_then(Json::as_f64), Some(6.0));
         assert!(agg.get("p95_us").and_then(Json::as_f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn stats_reply_reports_worker_panics_per_shard_and_summed() {
+        let r = router();
+        r.route(&Tensor::zeros(&[4])).unwrap().wait().unwrap();
+        let mut stats = r.stats();
+        stats.shards[0].worker_panics = 2;
+        stats.shards[1].worker_panics = 3;
+        let json = Json::parse(&stats_reply(&stats)).unwrap();
+        let shards = json.get("shards").and_then(Json::as_arr).unwrap();
+        let per_shard: Vec<f64> = shards
+            .iter()
+            .map(|s| s.get("worker_panics").and_then(Json::as_f64).unwrap())
+            .collect();
+        assert_eq!(per_shard, [2.0, 3.0]);
+        let agg = json.get("aggregate").unwrap();
+        assert_eq!(agg.get("worker_panics").and_then(Json::as_f64), Some(5.0));
+
+        // A healthy router reports zeros rather than omitting the field.
+        let (reply, _) = handle_control(&r, "{\"cmd\":\"stats\"}");
+        let json = Json::parse(&reply).unwrap();
+        let agg = json.get("aggregate").unwrap();
+        assert_eq!(agg.get("worker_panics").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! 2-D convolution — a direct NCHW forward kernel, im2col lowering for
-//! the backward pass — with analog weight-noise support.
+//! 2-D convolution — direct NCHW forward and backward kernels — with
+//! analog weight-noise support.
 
 use crate::init::{bias_uniform, kaiming_uniform};
 use crate::layer::Layer;
 use crate::param::Param;
-use cn_tensor::ops::{
-    col2im, conv2d_forward_into, im2col, nchw_to_rows, Activation, Conv2dGeometry, PackedA,
-};
+use cn_tensor::ops::{conv2d_backward, conv2d_forward_into, Activation, Conv2dGeometry, PackedA};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
 
@@ -18,9 +16,10 @@ use std::sync::Arc;
 /// multiplicative noise mask shaped like the kernel.
 ///
 /// The forward pass runs [`conv2d_forward_into`], which gathers patches
-/// straight into GEMM panels and never builds the patch matrix. To bound
-/// training memory the backward pass re-runs `im2col` on the cached input
-/// instead of caching the (much larger) patch matrix.
+/// straight into GEMM panels and never builds the patch matrix. Training
+/// caches only the input; the backward pass runs [`conv2d_backward`],
+/// which computes the weight, bias and input gradients from that input
+/// in the same way.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
@@ -176,21 +175,16 @@ impl Layer for Conv2d {
             .take()
             .expect("Conv2d::backward called before forward");
         let geo = self.cache_geo.take().expect("geometry cache missing");
-        let batch = x.dims()[0];
-        let g_rows = nchw_to_rows(grad_out);
-        let cols = im2col(&x, &geo);
-
-        // dW = g_rowsᵀ·cols, chained through the noise mask.
-        let mut dw = g_rows.t_matmul(&cols).into_reshaped(self.w.value.dims());
+        let grads = conv2d_backward(&x, &geo, &self.effective_weight_matrix(), grad_out);
+        // dW is taken w.r.t. the effective weight; chain it through the
+        // noise mask.
+        let mut dw = grads.weight.into_reshaped(self.w.value.dims());
         if let Some(mask) = &self.noise {
             dw = dw.zip_map(mask, |g, m| g * m);
         }
         self.w.accumulate(&dw);
-        self.b.accumulate(&g_rows.sum_rows());
-
-        let wmat = self.effective_weight_matrix();
-        let dcols = g_rows.matmul(&wmat);
-        col2im(&dcols, &geo, batch)
+        self.b.accumulate(&grads.bias);
+        grads.input
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

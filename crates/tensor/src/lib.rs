@@ -10,8 +10,9 @@
 //! - packed, register-tiled, multi-threaded matrix multiplication with
 //!   fused bias/ReLU epilogues and reusable pre-packed weight panels
 //!   ([`ops::gemm`]; [`ops::matmul`] holds the `Tensor` entry points),
-//! - direct NCHW forward convolution on the GEMM micro-kernel, the
-//!   `im2col`/`col2im` lowering its backward pass uses, and pooling kernels,
+//! - direct NCHW forward and backward convolution on the GEMM
+//!   micro-kernel (the `im2col`/`col2im` lowering stays as their
+//!   reference), and pooling kernels,
 //! - the linear algebra needed by Lipschitz-constant regularization
 //!   (power iteration, Gram matrices, orthogonality penalties — [`linalg`]),
 //! - seeded random sampling including Box–Muller normal and log-normal

@@ -75,26 +75,58 @@ pub(super) fn select_path() -> KernelPath {
 
 #[inline]
 pub(super) fn microkernel(k: usize, ap: &[f32], bp: &[f32], path: KernelPath) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    tile::<false>(k, ap, bp, &mut acc, path);
+    acc
+}
+
+/// [`microkernel`] continuing from the stored tile `acc` instead of
+/// from zero. Reloading an `f32` accumulator is exact, so splitting a
+/// reduction into consecutive calls over consecutive k ranges performs
+/// the same float-op sequence as one call over the whole range — the
+/// convolution backward accumulates weight gradients sample by sample
+/// this way.
+#[inline]
+pub(super) fn microkernel_acc(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+    path: KernelPath,
+) {
+    tile::<true>(k, ap, bp, acc, path);
+}
+
+/// The tile loop behind [`microkernel`] (`CONTINUE = false`: the
+/// accumulators start at zero, `acc` is only written) and
+/// [`microkernel_acc`] (`CONTINUE = true`: they start from `acc`).
+#[inline(always)]
+fn tile<const CONTINUE: bool>(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+    path: KernelPath,
+) {
     debug_assert_eq!(ap.len(), k * MR);
     debug_assert_eq!(bp.len(), k * NR);
-    let mut acc = [[0.0f32; NR]; MR];
     match path {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: `KernelPath::Avx` is only constructed after the
         // runtime feature probe, and the panel lengths were checked
         // above.
-        KernelPath::Avx => unsafe { microkernel_avx(k, ap, bp, &mut acc) },
+        KernelPath::Avx => unsafe { microkernel_avx::<CONTINUE>(k, ap, bp, acc) },
         KernelPath::Portable => {
             // Baseline (128-bit) targets: a full 8×8 f32 tile exceeds
             // the 16 xmm registers and spills, so accumulate two
             // independent 4×8 half-tiles instead. Per-element op order
-            // is unchanged.
+            // is unchanged. `microkernel` passes a zeroed `acc`, so
+            // accumulating onto it serves both variants.
             let (top, bottom) = acc.split_at_mut(MR / 2);
             microkernel_half(k, ap, bp, 0, top.try_into().unwrap());
             microkernel_half(k, ap, bp, MR / 2, bottom.try_into().unwrap());
         }
     }
-    acc
 }
 
 /// Partial-tile variant for row panels with fewer than `MR` live rows
@@ -149,8 +181,9 @@ fn microkernel_half(k: usize, ap: &[f32], bp: &[f32], r0: usize, acc: &mut [[f32
 }
 
 /// The 256-bit tile loop, selected at runtime: each of the `MR`
-/// accumulator rows is one `__m256` register held across the whole k
-/// loop; every step broadcasts one `a` lane, multiplies by the packed
+/// accumulator rows is one `__m256` register (zeroed, or loaded from
+/// `acc` when `CONTINUE`) held across the whole k loop and stored to
+/// `acc`; every step broadcasts one `a` lane, multiplies by the packed
 /// `b` row and adds. `_mm256_mul_ps` + `_mm256_add_ps` are two
 /// **separately rounded** operations (deliberately not `fma`), so every
 /// lane performs the exact float-op sequence of the scalar fallback and
@@ -162,13 +195,23 @@ fn microkernel_half(k: usize, ap: &[f32], bp: &[f32], r0: usize, acc: &mut [[f32
 /// `bp.len() == k * NR`.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx")]
-unsafe fn microkernel_avx(k: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx<const CONTINUE: bool>(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
     #[cfg(target_arch = "x86")]
     use core::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     let mut rows = [_mm256_setzero_ps(); MR];
+    if CONTINUE {
+        for (row, acc_row) in rows.iter_mut().zip(acc.iter()) {
+            *row = _mm256_loadu_ps(acc_row.as_ptr());
+        }
+    }
     for kk in 0..k {
         let b = _mm256_loadu_ps(bp.as_ptr().add(kk * NR));
         for (ir, row) in rows.iter_mut().enumerate() {
@@ -280,6 +323,26 @@ mod tests {
                 let partial = microkernel_rows(k, &ap, &bp, rows, path);
                 assert_eq!(&partial[..rows], &reference[..rows], "rows {rows}");
             }
+        }
+    }
+
+    /// Continuing a stored tile over the second half of a reduction
+    /// gives the bits of one pass over all of it, on every path.
+    #[test]
+    fn continued_tiles_match_one_pass_bitwise() {
+        let (k1, k2) = (5, 7);
+        let k = k1 + k2;
+        let ap: Vec<f32> = (0..k * MR)
+            .map(|v| ((v * 31) % 17) as f32 * 0.37 - 3.0)
+            .collect();
+        let bp: Vec<f32> = (0..k * NR)
+            .map(|v| ((v * 43) % 19) as f32 * 0.21 - 2.0)
+            .collect();
+        for path in [select_path(), KernelPath::Portable] {
+            let whole = microkernel(k, &ap, &bp, path);
+            let mut split = microkernel(k1, &ap[..k1 * MR], &bp[..k1 * NR], path);
+            microkernel_acc(k2, &ap[k1 * MR..], &bp[k1 * NR..], &mut split, path);
+            assert_eq!(split, whole, "{path:?}");
         }
     }
 

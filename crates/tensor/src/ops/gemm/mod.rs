@@ -5,9 +5,9 @@
 //! [`Tensor::t_matmul`](crate::Tensor::t_matmul) /
 //! [`Tensor::matmul_t`](crate::Tensor::matmul_t) are thin entry points
 //! over [`gemm_into`], the dense layers of `cn-nn` call
-//! [`gemm_bias_act`] with pre-packed weight panels, and `Conv2d`'s
-//! forward pass calls [`conv2d_forward_into`], which feeds the same
-//! micro-kernel from patches gathered straight out of the NCHW input.
+//! [`gemm_bias_act`] with pre-packed weight panels, and `Conv2d` calls
+//! [`conv2d_forward_into`] and [`conv2d_backward`], which feed the same
+//! micro-kernel from panels gathered straight out of NCHW tensors.
 //!
 //! # Structure
 //!
@@ -35,10 +35,12 @@
 //! may differ between code paths.)
 
 mod conv;
+mod conv_backward;
 mod kernel;
 mod pack;
 
 pub use conv::conv2d_forward_into;
+pub use conv_backward::{conv2d_backward, ConvGradients};
 pub use kernel::Epilogue;
 pub use pack::{Layout, PackedA, PackedB};
 

@@ -1,11 +1,15 @@
-//! Convolution lowering: `im2col` / `col2im` and NCHW layout shuffles.
+//! Convolution geometry and the lowering to matrix products: `im2col` /
+//! `col2im` and NCHW layout shuffles.
 //!
-//! The backward pass computes convolution gradients as matrix products:
 //! `im2col` unrolls every receptive field of an `[N, C, H, W]` input into
-//! a row of a `[N·oh·ow, C·kh·kw]` matrix (the weight gradient is
-//! `gradᵀ · cols`), and `col2im` is its exact adjoint, used for input
-//! gradients. The forward pass never materializes the patch matrix; it
-//! runs [`conv2d_forward_into`](crate::ops::conv2d_forward_into).
+//! a row of a `[N·oh·ow, C·kh·kw]` matrix, and `col2im` is its exact
+//! adjoint. With them a convolution is `cols · Wᵀ`, its weight gradient
+//! `gradᵀ · cols` and its input gradient `col2im(grad · W)`. Neither
+//! layer pass materializes the patch matrix any more —
+//! [`conv2d_forward_into`](crate::ops::conv2d_forward_into) and
+//! [`conv2d_backward`](crate::ops::conv2d_backward) work on NCHW
+//! directly — so the lowering is the reference their bitwise tests
+//! compare against.
 
 use crate::parallel::parallel_chunks_mut;
 use crate::tensor::Tensor;

@@ -1,7 +1,7 @@
 //! Tensor operations: elementwise arithmetic, packed register-tiled
-//! matrix multiplication and direct forward convolution ([`gemm`]),
-//! reductions, convolution lowering for the backward pass (`im2col`),
-//! pooling and padding.
+//! matrix multiplication and direct forward and backward convolution
+//! ([`gemm`]), reductions, convolution geometry and the `im2col`
+//! reference lowering, pooling and padding.
 
 pub mod axis;
 pub mod concat;
@@ -16,8 +16,8 @@ pub mod reduce;
 pub use concat::{concat_channels, split_channels};
 pub use elementwise::{broadcast_zip, reduce_to_suffix};
 pub use gemm::{
-    conv2d_forward_into, gemm_bias_act, gemm_bias_act_into, gemm_into, Activation, Epilogue,
-    Layout, PackedA, PackedB,
+    conv2d_backward, conv2d_forward_into, gemm_bias_act, gemm_bias_act_into, gemm_into, Activation,
+    ConvGradients, Epilogue, Layout, PackedA, PackedB,
 };
 pub use im2col::{col2im, conv_out_dim, im2col, nchw_to_rows, rows_to_nchw, Conv2dGeometry};
 pub use pad::{pad_nchw, unpad_nchw};
